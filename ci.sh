@@ -44,6 +44,21 @@ fi
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== concurrency suites on one core and at default parallelism"
+# A pass that depends on scheduling (two cores racing, a test harness
+# running tests side by side) fails here instead of after merge.
+command -v taskset >/dev/null || {
+    echo "ci: taskset (util-linux) is needed to pin the concurrency suites to one core" >&2
+    exit 1
+}
+for suite in "lbq-net --test loopback" "lbq-net --test flood" \
+    "lbq-obs --test concurrent" "lbq-serve --test stress"; do
+    # shellcheck disable=SC2086 # $suite is a package and a test flag
+    taskset -c 0 cargo test -q -p $suite
+    # shellcheck disable=SC2086
+    cargo test -q -p $suite
+done
+
 echo "== cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

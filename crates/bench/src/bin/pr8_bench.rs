@@ -12,8 +12,8 @@
 //! client connections through real sockets, verifies every response
 //! byte-for-byte against [`lbq_serve::answer_on`], and reports
 //! throughput plus the server-side `net-socket-latency` percentiles
-//! (frame decoded → response queued) and cross-connection coalescing
-//! stats straight out of the `lbq-obs` registry.
+//! (frame decoded → response queued) and batch-size stats (requests
+//! per front-end engine submit) straight out of the `lbq-obs` registry.
 //!
 //! Modes:
 //!
@@ -253,7 +253,7 @@ fn render_json(r: &Report) -> String {
 }
 
 /// `--check`: the report must be valid JSON with the fleet block (all
-/// requests byte-identical), socket-latency percentiles, coalescing
+/// requests byte-identical), socket-latency percentiles, batch-size
 /// stats, and the counter block.
 fn check(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -332,7 +332,7 @@ fn main() {
         report.socket_latency.count
     );
     println!(
-        "coalescing: {} batches, mean size {}, p99 size {}",
+        "batching: {} submits, mean size {}, p99 size {}",
         report.coalesce.count, report.coalesce.mean_ns, report.coalesce.p99_ns
     );
 

@@ -7,22 +7,26 @@
 //!
 //! * an **accept loop** hands each connection a dedicated
 //!   reader/writer thread pair (`server` module);
-//! * the **session layer** coalesces requests arriving within
-//!   [`NetConfig::coalesce_window`] of each other — *across
-//!   connections* — into single [`lbq_serve::Engine::submit`] batches,
-//!   so socket concurrency feeds the engine's Hilbert tiling and
-//!   shared-frontier group traversals (`session` module);
-//! * **graceful shutdown** drains every accepted request and flushes
+//! * each **reader serves its own requests**: every complete frame in
+//!   its read buffer is decoded and submitted as one
+//!   [`lbq_serve::Engine::submit`] batch, and the encoded responses go
+//!   to the connection's writer. Batch size follows load with no timer
+//!   — a lone request goes straight to the engine, a pipelined burst
+//!   rides one Hilbert-tiled batch, and concurrent connections keep
+//!   every engine worker busy;
+//! * **graceful shutdown** answers every decoded request and flushes
 //!   every connection before a single thread is abandoned;
 //! * per-connection **limits** (in-flight budget, request payload cap)
-//!   turn resource abuse into protocol-error teardown.
+//!   turn resource abuse into protocol-error teardown, so a client that
+//!   never reads its responses costs the server at most
+//!   [`NetConfig::max_inflight`] queued frames.
 //!
 //! ## Observability
 //!
-//! `net-accepts` / `net-frames-in` / `net-frames-out` /
-//! `net-protocol-errors` counters, a `net-active-conns` gauge, a
-//! `net-coalesce-batch` histogram (how much cross-connection batching
-//! actually happens), and a `net-socket-latency` histogram
+//! `net-accepts` / `net-frames-in` / `net-frames-out` (frames written
+//! to sockets) / `net-protocol-errors` counters, a `net-active-conns`
+//! gauge, a `net-coalesce-batch` histogram (requests per engine submit
+//! made by the front end), and a `net-socket-latency` histogram
 //! (frame-decoded → response-queued, the server-side slice of a
 //! client's round trip) — all in the global [`lbq_obs`] registry, and
 //! in every exporter snapshot.
@@ -63,12 +67,9 @@
 
 mod client;
 mod server;
-mod session;
 
 pub use client::NetClient;
 pub use server::NetServer;
-
-use std::time::Duration;
 
 /// Capacity hint for freshly-encoded response frames (a typical kNN
 /// response with a handful of influence pairs).
@@ -77,18 +78,11 @@ pub(crate) const RESPONSE_CAPACITY_HINT: usize = 512;
 /// Tuning knobs of a [`NetServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
-    /// How long the session layer holds a batch open after its first
-    /// request, collecting concurrently-arriving requests from all
-    /// connections into one engine submit. Longer windows coalesce
-    /// more (better tiling, fewer submits) at the price of added
-    /// latency on the *first* request of each batch.
-    pub coalesce_window: Duration,
-    /// Hard cap on a coalesced batch (the window closes early when
-    /// reached).
-    pub max_batch: usize,
-    /// Per-connection in-flight request budget; exceeding it is a
+    /// Per-connection in-flight budget: frames decoded and owed a reply
+    /// whose reply is not yet written to the socket. Exceeding it is a
     /// protocol error that tears the connection down
-    /// ([`lbq_proto::ErrorCode::TooManyInFlight`]).
+    /// ([`lbq_proto::ErrorCode::TooManyInFlight`]); it also bounds the
+    /// outbound queue of a client that stops reading.
     pub max_inflight: usize,
     /// Payload cap applied to incoming frames
     /// ([`lbq_proto::DEFAULT_SERVER_MAX_PAYLOAD`] by default; request
@@ -100,8 +94,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            coalesce_window: Duration::from_micros(200),
-            max_batch: 512,
             max_inflight: 1024,
             max_request_payload: lbq_proto::DEFAULT_SERVER_MAX_PAYLOAD,
         }

@@ -3,27 +3,34 @@
 //!
 //! Every connection owns exactly two threads:
 //!
-//! * the **reader** decodes length-prefixed frames from the socket,
-//!   validates them, and injects requests into the session layer
-//!   ([`crate::session`]); protocol errors are answered with an error
-//!   frame and — when fatal ([`lbq_proto::ErrorCode::is_fatal`]) —
-//!   tear the connection down;
+//! * the **reader** serves its own requests to completion: it decodes
+//!   every complete frame in its read buffer, submits the valid
+//!   requests among them as one [`Engine::submit`] batch, and queues
+//!   the encoded responses before it reads again. Protocol errors are
+//!   answered with an error frame and — when fatal
+//!   ([`lbq_proto::ErrorCode::is_fatal`]) — tear the connection down;
 //! * the **writer** drains the connection's outbound queue and owns
 //!   the socket's write half; marking the connection *closing* makes
 //!   the writer flush what is queued and then shut the socket down, so
 //!   an error frame always reaches the peer before the FIN.
 //!
+//! Batch size follows load with no timer: a lone request goes straight
+//! to the engine, a pipelined burst that arrives in one read rides one
+//! Hilbert-tiled batch, and concurrent connections submit concurrently,
+//! keeping every engine worker busy.
+//!
 //! A clean client EOF (peer finished sending) does **not** drop
-//! in-flight requests: the connection lingers until its last response
-//! is queued, then closes — the natural client pattern "pipeline
+//! in-flight requests: by the time the reader sees it, every request it
+//! decoded is answered into the outbound queue, and the writer flushes
+//! that queue before it closes — the natural client pattern "pipeline
 //! everything, `shutdown(Write)`, read all responses" works.
 
-use crate::session::{dispatch_loop, Injector, Pending};
 use crate::NetConfig;
 use lbq_proto::{
-    decode_frame, encode_error, request_query, validate_request, Decoded, ErrorCode, Frame,
+    decode_frame, encode_error, encode_query_response, request_query, validate_request, Decoded,
+    ErrorCode, Frame,
 };
-use lbq_serve::Engine;
+use lbq_serve::{Engine, QueryReq};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -31,20 +38,19 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Read-buffer chunk size of a connection reader.
+/// Read-buffer chunk size of a connection reader: one read holds up to
+/// ~400 request frames, which then ride one engine batch.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// One accepted connection: the socket plus the outbound queue shared
-/// between its reader, its writer, and the dispatcher.
-pub(crate) struct Conn {
+/// between its reader and its writer.
+struct Conn {
     stream: TcpStream,
     out: Mutex<OutQueue>,
     cvar: Condvar,
-    /// Requests decoded but not yet answered (budget:
-    /// [`NetConfig::max_inflight`]).
+    /// Frames owed a reply whose reply is not yet written to the socket
+    /// (budget: [`NetConfig::max_inflight`]).
     inflight: AtomicUsize,
-    /// The peer sent a clean EOF: close once `inflight` drains to 0.
-    eof: AtomicBool,
 }
 
 struct OutQueue {
@@ -62,49 +68,71 @@ impl Conn {
             }),
             cvar: Condvar::new(),
             inflight: AtomicUsize::new(0),
-            eof: AtomicBool::new(false),
         }
     }
 
-    /// Queues `bytes` for the writer. Returns `false` (dropping the
-    /// frame) when the connection is already closing.
-    pub(crate) fn send_bytes(&self, bytes: Vec<u8>) -> bool {
+    /// Claims an in-flight slot for a frame that will be answered; the
+    /// writer returns it once the reply is written. `false` (claiming
+    /// nothing) when the budget is spent.
+    fn reserve(&self, budget: usize) -> bool {
+        if self.inflight.fetch_add(1, Ordering::AcqRel) < budget {
+            return true;
+        }
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        false
+    }
+
+    /// Queues reply frames whose slots are already claimed, in order.
+    /// Frames sent to a closing connection are dropped.
+    fn send(&self, frames: impl IntoIterator<Item = Vec<u8>>) {
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         if out.closing {
-            return false;
+            return;
         }
-        out.queue.push_back(bytes);
+        out.queue.extend(frames);
         drop(out);
         self.cvar.notify_one();
-        true
+    }
+
+    /// Queues the error frame that ends the connection (it claims a
+    /// slot past the budget: nothing follows it), then closes.
+    fn fail(&self, frame: Vec<u8>) {
+        lbq_obs::counter("net-protocol-errors").add(1);
+        self.inflight.fetch_add(1, Ordering::AcqRel);
+        self.send([frame]);
+        self.close();
+    }
+
+    /// Blocks for the next queued frame; `None` once the connection is
+    /// closing and the queue is empty.
+    fn next_frame(&self) -> Option<Vec<u8>> {
+        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(b) = out.queue.pop_front() {
+                return Some(b);
+            }
+            if out.closing {
+                return None;
+            }
+            out = self.cvar.wait(out).unwrap_or_else(|e| e.into_inner());
+        }
     }
 
     /// Marks the connection closing: the writer flushes the queue and
     /// shuts the socket down. Idempotent.
-    pub(crate) fn close(&self) {
+    fn close(&self) {
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         out.closing = true;
         drop(out);
         self.cvar.notify_all();
     }
-
-    /// Called by the dispatcher once a request's response is queued
-    /// (or dropped): returns the in-flight budget slot, and completes a
-    /// lingering clean-EOF close when this was the last outstanding
-    /// request.
-    pub(crate) fn finish_request(&self) {
-        let left = self.inflight.fetch_sub(1, Ordering::AcqRel) - 1;
-        if left == 0 && self.eof.load(Ordering::Acquire) {
-            self.close();
-        }
-    }
 }
 
-/// Everything the accept, reader, writer and dispatcher threads share.
+/// Everything the accept, reader and writer threads share.
 struct Shared {
     cfg: NetConfig,
+    engine: Arc<Engine>,
     stop: AtomicBool,
-    injector: Arc<Injector>,
     /// Live and finished connections; joined at shutdown. Bounded by
     /// the process's connection count (entries are not reaped early —
     /// the fleet scale here is tens of connections, not thousands of
@@ -119,16 +147,15 @@ struct ConnEntry {
 }
 
 /// A running TCP front-end over an [`Engine`]. Binding spawns the
-/// accept loop and the session dispatcher; [`NetServer::shutdown`]
-/// (also run on drop) stops accepting, drains every in-flight request,
-/// flushes every connection, and joins all threads.
+/// accept loop; [`NetServer::shutdown`] (also run on drop) stops
+/// accepting, lets every reader answer what it has decoded, flushes
+/// every connection, and joins all threads.
 ///
 /// See the crate docs for a usage example.
 pub struct NetServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<std::thread::JoinHandle<()>>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl NetServer {
@@ -141,26 +168,12 @@ impl NetServer {
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        lbq_obs::snapshot_field(
-            "net-config-coalesce-us",
-            u64::try_from(cfg.coalesce_window.as_micros()).unwrap_or(u64::MAX),
-        );
-        lbq_obs::snapshot_field("net-config-max-batch", cfg.max_batch as u64);
         let shared = Arc::new(Shared {
             cfg,
+            engine,
             stop: AtomicBool::new(false),
-            injector: Arc::new(Injector::new()),
             registry: Mutex::new(Vec::new()),
         });
-        let dispatcher = {
-            let engine = Arc::clone(&engine);
-            let injector = Arc::clone(&shared.injector);
-            let window = cfg.coalesce_window;
-            let max_batch = cfg.max_batch;
-            std::thread::Builder::new()
-                .name("lbq-net-session".into())
-                .spawn(move || dispatch_loop(engine, injector, window, max_batch))?
-        };
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -171,7 +184,6 @@ impl NetServer {
             addr,
             shared,
             accept: Some(accept),
-            dispatcher: Some(dispatcher),
         })
     }
 
@@ -180,8 +192,8 @@ impl NetServer {
         self.addr
     }
 
-    /// Graceful shutdown: stop accepting, stop the readers, drain every
-    /// injected request through the engine, flush every connection's
+    /// Graceful shutdown: stop accepting, stop the readers once they
+    /// have answered everything they decoded, flush every connection's
     /// outbound queue, join every thread. Idempotent; also run on drop.
     pub fn shutdown(&mut self) {
         if self.shared.stop.swap(true, Ordering::AcqRel) {
@@ -193,7 +205,8 @@ impl NetServer {
             let _ = h.join();
         }
         // Stop the readers: a socket read-shutdown makes their blocking
-        // read return 0. Responses already in flight are unaffected.
+        // read return 0. A reader inside `Engine::submit` finishes the
+        // batch and queues its responses first.
         let mut registry = {
             let mut g = self
                 .shared
@@ -209,12 +222,6 @@ impl NetServer {
             if let Some(h) = entry.reader.take() {
                 let _ = h.join();
             }
-        }
-        // Drain the session layer: the dispatcher answers everything
-        // still queued, then exits.
-        self.shared.injector.stop();
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
         }
         // Flush and close every connection.
         for entry in &mut registry {
@@ -290,43 +297,85 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// The writer half: drains the outbound queue onto the socket; once the
+/// The writer half: drains the outbound queue onto the socket, handing
+/// back each frame's in-flight slot once the frame is written; once the
 /// connection is closing and the queue is empty, shuts the socket down.
 /// Owns the active-connection gauge decrement (runs exactly once per
 /// connection).
 fn writer_loop(conn: Arc<Conn>, mut stream: TcpStream, active: lbq_obs::Gauge) {
-    loop {
-        let next = {
-            let mut out = conn.out.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(b) = out.queue.pop_front() {
-                    break Some(b);
-                }
-                if out.closing {
-                    break None;
-                }
-                out = conn.cvar.wait(out).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        match next {
-            Some(bytes) => {
-                if stream.write_all(&bytes).is_err() {
-                    conn.close();
-                    break;
-                }
-            }
-            None => break,
+    let frames_out = lbq_obs::counter("net-frames-out");
+    while let Some(bytes) = conn.next_frame() {
+        if stream.write_all(&bytes).is_err() {
+            conn.close();
+            break;
         }
+        conn.inflight.fetch_sub(1, Ordering::AcqRel);
+        frames_out.add(1);
     }
     let _ = stream.flush();
     let _ = stream.shutdown(Shutdown::Both);
     active.add(-1);
 }
 
-/// The reader half: buffered frame decoding, validation, and injection.
+/// The requests decoded from one read buffer, awaiting one engine
+/// submit, plus the histograms that submit records into.
+struct Batch {
+    reqs: Vec<QueryReq>,
+    /// `(request_id, decoded at)` per request, index-aligned with `reqs`.
+    pending: Vec<(u64, Instant)>,
+    /// `net-coalesce-batch`: requests per front-end submit.
+    sizes: lbq_obs::Histogram,
+    /// `net-socket-latency`: frame decoded → response queued.
+    latency: lbq_obs::Histogram,
+}
+
+impl Batch {
+    fn new() -> Batch {
+        Batch {
+            reqs: Vec::new(),
+            pending: Vec::new(),
+            sizes: lbq_obs::histogram("net-coalesce-batch"),
+            latency: lbq_obs::histogram("net-socket-latency"),
+        }
+    }
+
+    /// Submits the batch as one engine call and queues the encoded
+    /// responses on `conn`, in request order.
+    fn serve(&mut self, engine: &Engine, conn: &Conn) {
+        if self.reqs.is_empty() {
+            return;
+        }
+        self.sizes.record_value(self.reqs.len() as u64);
+        let resps = engine.submit(std::mem::take(&mut self.reqs));
+        let frames: Vec<Vec<u8>> = self
+            .pending
+            .iter()
+            .zip(&resps)
+            .map(|(&(request_id, _), resp)| {
+                let mut bytes = Vec::with_capacity(crate::RESPONSE_CAPACITY_HINT);
+                if let Err(e) = encode_query_response(request_id, resp, &mut bytes) {
+                    // Out-of-contract giant response: answer with the
+                    // error instead of silently dropping the request.
+                    bytes = encode_error(request_id, e.code, e.detail);
+                }
+                bytes
+            })
+            .collect();
+        conn.send(frames);
+        let queued = Instant::now();
+        for (_, decoded) in self.pending.drain(..) {
+            let ns = queued.saturating_duration_since(decoded).as_nanos();
+            self.latency
+                .record_ns(u64::try_from(ns).unwrap_or(u64::MAX));
+        }
+    }
+}
+
+/// The reader half: decodes every complete frame in the read buffer,
+/// serves the batch they form, and only then reads again.
 fn reader_loop(conn: Arc<Conn>, shared: Arc<Shared>) {
     let frames_in = lbq_obs::counter("net-frames-in");
-    let proto_errors = lbq_obs::counter("net-protocol-errors");
+    let budget = shared.cfg.max_inflight;
     let mut stream = match conn.stream.try_clone() {
         Ok(s) => s,
         Err(_) => {
@@ -336,17 +385,18 @@ fn reader_loop(conn: Arc<Conn>, shared: Arc<Shared>) {
     };
     let mut buf: Vec<u8> = Vec::with_capacity(READ_CHUNK);
     let mut chunk = [0u8; READ_CHUNK];
-    'conn: loop {
-        // Decode every complete frame currently buffered.
+    let mut batch = Batch::new();
+    loop {
+        // Decode every complete frame currently buffered, stopping at
+        // the first fatal one.
         let mut consumed = 0;
-        loop {
+        let mut fatal = None;
+        while fatal.is_none() {
             match decode_frame(&buf[consumed..], shared.cfg.max_request_payload) {
                 Ok(Decoded::Frame { frame, consumed: n }) => {
                     consumed += n;
                     frames_in.add(1);
-                    if !handle_frame(&conn, &shared, frame, &proto_errors) {
-                        break 'conn; // fatal: teardown (error frame already queued)
-                    }
+                    fatal = handle_frame(&conn, budget, frame, &mut batch);
                 }
                 Ok(Decoded::Unknown {
                     frame_type,
@@ -357,75 +407,80 @@ fn reader_loop(conn: Arc<Conn>, shared: Arc<Shared>) {
                     // peer, keep the connection.
                     consumed += n;
                     frames_in.add(1);
-                    proto_errors.add(1);
-                    conn.send_bytes(encode_error(
+                    fatal = reply_error(
+                        &conn,
+                        budget,
                         request_id,
                         ErrorCode::UnknownFrameType,
                         format!("frame type 0x{frame_type:02x} unknown to this v1 server"),
-                    ));
+                    );
                 }
                 Ok(Decoded::Incomplete { .. }) => break,
-                Err(e) => {
-                    // Framing is broken: report and tear down.
-                    proto_errors.add(1);
-                    conn.send_bytes(encode_error(0, e.code, e.detail));
-                    break 'conn;
-                }
+                // Framing is broken: report and tear down.
+                Err(e) => fatal = Some(encode_error(0, e.code, e.detail)),
             }
         }
         buf.drain(..consumed);
+        // Requests decoded before a fatal frame are still answered,
+        // ahead of its error frame.
+        batch.serve(&shared.engine, &conn);
+        if let Some(frame) = fatal {
+            conn.fail(frame);
+            return;
+        }
         match stream.read(&mut chunk) {
-            Ok(0) => {
-                // Clean EOF: answer what is in flight, then close.
-                conn.eof.store(true, Ordering::Release);
-                if conn.inflight.load(Ordering::Acquire) == 0 {
-                    conn.close();
-                }
-                return;
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break 'conn,
+            Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
+            // Clean EOF, read-shutdown or a socket error: everything
+            // decoded is already queued, and closing flushes it.
+            _ => break,
         }
     }
     conn.close();
 }
 
-/// Handles one decoded frame on the server side. Returns `false` when
-/// the connection must be torn down.
-fn handle_frame(
-    conn: &Arc<Conn>,
-    shared: &Arc<Shared>,
-    frame: Frame,
-    proto_errors: &lbq_obs::Counter,
-) -> bool {
+/// Handles one decoded frame on the server side: a valid request joins
+/// `batch`, anything else is answered with an error frame. Returns the
+/// error frame that must end the connection, if any.
+fn handle_frame(conn: &Conn, budget: usize, frame: Frame, batch: &mut Batch) -> Option<Vec<u8>> {
     if let Err(e) = validate_request(&frame) {
-        proto_errors.add(1);
-        conn.send_bytes(encode_error(frame.request_id(), e.code, e.detail.clone()));
-        return !e.code.is_fatal();
+        return reply_error(conn, budget, frame.request_id(), e.code, e.detail);
     }
-    let Some((request_id, req)) = request_query(&frame) else {
-        // Unreachable: validate_request only accepts request frames.
-        return true;
-    };
-    let inflight = conn.inflight.fetch_add(1, Ordering::AcqRel) + 1;
-    if inflight > shared.cfg.max_inflight {
-        conn.inflight.fetch_sub(1, Ordering::AcqRel);
-        proto_errors.add(1);
-        conn.send_bytes(encode_error(
-            request_id,
-            ErrorCode::TooManyInFlight,
-            format!(
-                "connection exceeded its in-flight budget of {}",
-                shared.cfg.max_inflight
-            ),
-        ));
-        return false;
+    // Unreachable `None`: validate_request only accepts request frames.
+    let (request_id, req) = request_query(&frame)?;
+    if !conn.reserve(budget) {
+        return Some(over_budget(request_id, budget));
     }
-    shared.injector.push(Pending {
-        conn: Arc::clone(conn),
+    batch.reqs.push(req);
+    batch.pending.push((request_id, Instant::now()));
+    None
+}
+
+/// Answers a frame with an error: queued at once when the error is
+/// recoverable and an in-flight slot is free, otherwise returned as
+/// the frame that ends the connection.
+fn reply_error(
+    conn: &Conn,
+    budget: usize,
+    request_id: u64,
+    code: ErrorCode,
+    detail: String,
+) -> Option<Vec<u8>> {
+    let frame = encode_error(request_id, code, detail);
+    if code.is_fatal() {
+        return Some(frame);
+    }
+    if !conn.reserve(budget) {
+        return Some(over_budget(request_id, budget));
+    }
+    lbq_obs::counter("net-protocol-errors").add(1);
+    conn.send([frame]);
+    None
+}
+
+fn over_budget(request_id: u64, budget: usize) -> Vec<u8> {
+    encode_error(
         request_id,
-        req,
-        recv_at: Instant::now(),
-    });
-    true
+        ErrorCode::TooManyInFlight,
+        format!("connection exceeded its in-flight budget of {budget}"),
+    )
 }

@@ -1,17 +1,20 @@
 //! Loopback integration tests: real sockets against a real engine —
-//! the byte-identical serving contract, cross-connection coalescing,
-//! protocol-error teardown, forward compatibility, per-connection
-//! limits, and graceful shutdown.
+//! the byte-identical serving contract, per-read batching, protocol-
+//! error teardown, forward compatibility, per-connection limits, and
+//! graceful shutdown.
+//!
+//! Tests that need several requests in flight at once send them in a
+//! single write: the server's reader decodes a whole read buffer before
+//! it serves, so one write of a few hundred bytes is one batch.
 
 use lbq_core::LbqServer;
 use lbq_geom::{Point, Rect};
 use lbq_net::{NetClient, NetConfig, NetServer};
-use lbq_proto::{encode_query_response, ErrorCode, Frame};
+use lbq_proto::{encode_frame, encode_query_response, query_request, ErrorCode, Frame};
 use lbq_rng::Xoshiro256ss;
 use lbq_rtree::{Item, RTree, RTreeConfig};
 use lbq_serve::{answer_on, CacheConfig, Engine, EngineConfig, QueryReq, QueryResp};
 use std::sync::Arc;
-use std::time::Duration;
 
 const UNIVERSE: Rect = Rect {
     xmin: 0.0,
@@ -96,6 +99,15 @@ fn frame_query_id(frame: &Frame) -> u64 {
     }
 }
 
+/// `reqs` encoded back to back, to go out in one write.
+fn pipelined_bytes(reqs: &[(u64, QueryReq)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for (id, req) in reqs {
+        encode_frame(&query_request(*id, req), &mut bytes).expect("encode request");
+    }
+    bytes
+}
+
 #[test]
 fn single_client_byte_identical_roundtrip() {
     let server = make_server(400, 11);
@@ -120,11 +132,8 @@ fn single_client_byte_identical_roundtrip() {
 #[test]
 fn multi_connection_pipelined_coalescing() {
     let server = make_server(600, 22);
-    let cfg = NetConfig {
-        coalesce_window: Duration::from_millis(2),
-        ..NetConfig::default()
-    };
-    let net = NetServer::bind("127.0.0.1:0", make_engine(&server, 4), cfg).expect("bind");
+    let net = NetServer::bind("127.0.0.1:0", make_engine(&server, 4), NetConfig::default())
+        .expect("bind");
     let addr = net.local_addr();
     let server = Arc::new(server);
     let handles: Vec<_> = (0..8u64)
@@ -136,22 +145,27 @@ fn multi_connection_pipelined_coalescing() {
                 let reqs: Vec<(u64, QueryReq)> = (0..25u64)
                     .map(|i| (c << 32 | i, rand_query(&mut rng)))
                     .collect();
-                // Pipeline everything, half-close, then read it all back.
-                for (id, req) in &reqs {
-                    client.send_query(*id, req).expect("send");
-                }
+                // Pipeline everything in one write, half-close, then read
+                // it all back.
+                client.send_raw(&pipelined_bytes(&reqs)).expect("send");
                 client.shutdown_write().expect("half-close");
                 let mut seen = std::collections::HashMap::new();
                 for _ in 0..reqs.len() {
                     let (frame, raw) = client.recv_raw().expect("recv");
                     seen.insert(frame.request_id(), (frame_query_id(&frame), raw));
                 }
-                // Responses may arrive in any order across batches; every
-                // request is answered exactly once, byte-identically.
+                // Every request is answered exactly once, byte-identically.
                 assert_eq!(seen.len(), reqs.len());
                 for (id, req) in &reqs {
                     let (qid, raw) = &seen[id];
                     assert_eq!(raw, &expected_bytes(&server, req, *id, *qid));
+                }
+                // The burst rode one engine batch: a submit numbers its
+                // requests with consecutive query ids, in request order,
+                // while the other connections submit concurrently.
+                let first = seen[&reqs[0].0].0;
+                for (i, (id, _)) in reqs.iter().enumerate() {
+                    assert_eq!(seen[id].0, first + i as u64, "burst split across submits");
                 }
             })
         })
@@ -240,60 +254,54 @@ fn invalid_request_is_recoverable() {
 #[test]
 fn inflight_budget_overflow_tears_down() {
     let server = make_server(100, 66);
-    // A long window keeps requests in flight while the client floods.
     let cfg = NetConfig {
-        coalesce_window: Duration::from_millis(500),
         max_inflight: 3,
         ..NetConfig::default()
     };
     let net = NetServer::bind("127.0.0.1:0", make_engine(&server, 1), cfg).expect("bind");
     let mut client = NetClient::connect(net.local_addr()).expect("connect");
-    for id in 0..10u64 {
-        if client
-            .send_query(id, &QueryReq::knn(Point::new(5.0, 5.0), 1))
-            .is_err()
-        {
-            break; // server already closed on us mid-flood — also fine
-        }
-    }
+    // The flood goes out in one write, so the server's first read
+    // decodes ten requests against a budget of three.
+    let flood: Vec<(u64, QueryReq)> = (0..10u64)
+        .map(|id| (id, QueryReq::knn(Point::new(5.0, 5.0), 1)))
+        .collect();
+    client.send_raw(&pipelined_bytes(&flood)).expect("send");
     // Somewhere in the stream of replies there must be the budget error.
     let mut saw_budget_error = false;
+    let mut answered = 0;
     loop {
         match client.recv() {
             Ok(Frame::Error(e)) => {
                 assert_eq!(e.code, ErrorCode::TooManyInFlight as u32);
                 saw_budget_error = true;
             }
-            Ok(_) => {} // responses to the requests that fit the budget
+            Ok(_) => answered += 1, // responses to the requests that fit the budget
             Err(_) => break,
         }
     }
     assert!(saw_budget_error, "expected a TooManyInFlight error frame");
+    // The requests decoded before the fatal frame are still answered.
+    assert_eq!(answered, 3, "the requests within the budget are answered");
 }
 
 #[test]
 fn graceful_shutdown_answers_everything_accepted() {
     let server = make_server(300, 88);
-    // A very long window: without the shutdown drain, responses would
-    // take 10 s to arrive; the test passing quickly *is* the assertion
-    // that shutdown flushes the session queue.
-    let cfg = NetConfig {
-        coalesce_window: Duration::from_secs(10),
-        ..NetConfig::default()
-    };
-    let mut net = NetServer::bind("127.0.0.1:0", make_engine(&server, 2), cfg).expect("bind");
+    let mut net = NetServer::bind("127.0.0.1:0", make_engine(&server, 2), NetConfig::default())
+        .expect("bind");
     let mut client = NetClient::connect(net.local_addr()).expect("connect");
     let mut rng = Xoshiro256ss::seed_from_u64(99);
     let reqs: Vec<(u64, QueryReq)> = (0..20u64).map(|i| (i, rand_query(&mut rng))).collect();
-    for (id, req) in &reqs {
-        client.send_query(*id, req).expect("send");
-    }
-    // Give the reader thread a beat to decode and inject everything —
-    // shutdown only guarantees *accepted* requests are answered.
-    std::thread::sleep(Duration::from_millis(200));
+    client.send_raw(&pipelined_bytes(&reqs)).expect("send");
+    // Shutdown only guarantees *accepted* (decoded) requests are
+    // answered. The one write is one read, served as one batch whose
+    // responses are queued together: the first response proves the
+    // server accepted all twenty. Shutdown then races the writer.
+    let first = client.recv().expect("first response");
+    assert!(!matches!(first, Frame::Error(_)), "unexpected {first:?}");
     net.shutdown();
-    let mut seen = std::collections::HashSet::new();
-    for _ in 0..reqs.len() {
+    let mut seen = std::collections::HashSet::from([first.request_id()]);
+    for _ in 1..reqs.len() {
         let frame = client.recv().expect("every accepted request is answered");
         assert!(!matches!(frame, Frame::Error(_)), "unexpected {frame:?}");
         seen.insert(frame.request_id());
@@ -308,19 +316,17 @@ fn graceful_shutdown_answers_everything_accepted() {
 #[test]
 fn clean_eof_lingers_for_inflight_responses() {
     let server = make_server(200, 111);
-    let cfg = NetConfig {
-        coalesce_window: Duration::from_millis(50),
-        ..NetConfig::default()
-    };
-    let net = NetServer::bind("127.0.0.1:0", make_engine(&server, 1), cfg).expect("bind");
+    let net = NetServer::bind("127.0.0.1:0", make_engine(&server, 1), NetConfig::default())
+        .expect("bind");
     let mut client = NetClient::connect(net.local_addr()).expect("connect");
-    for id in 0..5u64 {
-        client
-            .send_query(id, &QueryReq::knn(Point::new(10.0 + id as f64, 20.0), 3))
-            .expect("send");
-    }
-    // Half-close immediately: the responses are still in the coalescing
-    // window, and must all arrive anyway.
+    let reqs: Vec<(u64, QueryReq)> = (0..5u64)
+        .map(|id| (id, QueryReq::knn(Point::new(10.0 + id as f64, 20.0), 3)))
+        .collect();
+    client.send_raw(&pipelined_bytes(&reqs)).expect("send");
+    // Half-close at once, before reading anything: the server sees the
+    // EOF with the five responses in flight (being served, or queued
+    // and not yet written), and must deliver all of them before it
+    // closes.
     client.shutdown_write().expect("half-close");
     let mut seen = std::collections::HashSet::new();
     for _ in 0..5 {

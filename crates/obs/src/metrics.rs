@@ -173,34 +173,54 @@ impl Histogram {
     /// the bucket containing that rank (0 when empty). Overestimates by
     /// at most 25% of the true value (typically ~10%).
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        // lbq-check: allow(lossy-cast) — rank ≤ count by construction
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.0.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper(i);
-            }
-        }
-        bucket_upper(HISTOGRAM_BUCKETS - 1)
+        quantile_of(&self.buckets(), q)
     }
 
-    /// Point-in-time p50/p95/p99/mean summary.
+    /// Point-in-time p50/p95/p99/mean summary. The buckets are copied
+    /// once and the count and every quantile derive from that copy, so
+    /// a summary taken while samples are recorded is still ordered
+    /// (p50 ≤ p95 ≤ p99). The mean reads the sum separately and may lag
+    /// or lead the copy by the samples recorded meanwhile.
     pub fn summary(&self) -> HistogramSummary {
-        let count = self.count();
+        let buckets = self.buckets();
+        let count: u64 = buckets.iter().sum();
         let sum = self.0.sum_ns.load(Ordering::Relaxed);
         HistogramSummary {
             count,
-            p50_ns: self.quantile_ns(0.50),
-            p95_ns: self.quantile_ns(0.95),
-            p99_ns: self.quantile_ns(0.99),
-            mean_ns: if count == 0 { 0 } else { sum / count },
+            p50_ns: quantile_of(&buckets, 0.50),
+            p95_ns: quantile_of(&buckets, 0.95),
+            p99_ns: quantile_of(&buckets, 0.99),
+            mean_ns: sum.checked_div(count).unwrap_or(0),
         }
     }
+
+    /// One relaxed read of every bucket.
+    fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
+        let mut out = [0u64; HISTOGRAM_BUCKETS];
+        for (o, b) in out.iter_mut().zip(&self.0.buckets) {
+            *o = b.load(Ordering::Relaxed);
+        }
+        out
+    }
+}
+
+/// Quantile `q` of a bucket copy: the upper bound of the bucket holding
+/// that rank (0 when empty).
+fn quantile_of(buckets: &[u64; HISTOGRAM_BUCKETS], q: f64) -> u64 {
+    let count: u64 = buckets.iter().sum();
+    if count == 0 {
+        return 0;
+    }
+    // lbq-check: allow(lossy-cast) — rank ≤ count by construction
+    let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (i, &b) in buckets.iter().enumerate() {
+        seen += b;
+        if seen >= rank {
+            return bucket_upper(i);
+        }
+    }
+    bucket_upper(HISTOGRAM_BUCKETS - 1)
 }
 
 /// A copyable snapshot of a [`Histogram`].

@@ -4,11 +4,14 @@
 //! Serve workers call [`record_query`] once per answered query (a
 //! no-op unless [`init_recorder`] ran and recording is on). Each
 //! record lands in a power-of-two ring of seqlock-stamped slots:
-//! writers claim a ticket with one `fetch_add`, stamp the slot odd,
-//! store the payload words, and stamp it even — no locks, no
-//! allocation, readers never block writers. [`FlightRecorder::recent`]
-//! walks the ring and keeps only slots whose stamp is stable across
-//! the read (a torn slot is simply skipped).
+//! writers claim a ticket with one `fetch_add`, take the slot by
+//! swapping its stable stamp for an odd one (so one writer at a time
+//! owns a slot, even when the ring wraps mid-write), store the payload
+//! words, and stamp it even — no locks, no allocation, readers never
+//! block writers. A writer whose slot already holds a newer ticket
+//! drops its record. [`FlightRecorder::recent`] walks the ring and
+//! keeps only slots whose stamp is stable across the read (a torn slot
+//! is simply skipped).
 //!
 //! **Slow-query capture**: the recorder maintains a rolling latency
 //! histogram; once `slow_min_samples` queries are in, any query slower
@@ -22,7 +25,7 @@ use crate::metrics::{Histogram, HistogramSummary};
 use crate::stage::{self, StageNanos, STAGE_NAMES};
 use crate::trace::{enabled, event_with, Value};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// What kind of query a [`QueryEvent`] describes.
@@ -142,6 +145,40 @@ impl Slot {
         Slot {
             seq: AtomicU64::new(0),
             words: [const { AtomicU64::new(0) }; SLOT_WORDS],
+        }
+    }
+
+    /// Makes `ticket`'s writer the slot's only writer by stamping it odd
+    /// — from a stable stamp only, so two writers whose tickets share
+    /// the slot never interleave their words. Waits out a write in
+    /// progress; returns `false` when the slot already holds a newer
+    /// ticket, whose record must not be overwritten by an older one.
+    fn claim(&self, ticket: u64) -> bool {
+        let mut spins = 0u32;
+        loop {
+            let s = self.seq.load(Ordering::Acquire);
+            if s % 2 == 1 {
+                // Another writer holds the slot (the ring wrapped while
+                // it wrote): let it finish, yielding in case it shares
+                // this core.
+                spins += 1;
+                if spins % 64 == 0 {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+                continue;
+            }
+            if s != 0 && (s - 2) / 2 >= ticket {
+                return false;
+            }
+            if self
+                .seq
+                .compare_exchange_weak(s, 2 * ticket + 1, Ordering::Acquire, Ordering::Acquire)
+                .is_ok()
+            {
+                return true;
+            }
         }
     }
 }
@@ -291,17 +328,21 @@ impl FlightRecorder {
     }
 
     /// Writes one record into the ring and runs slow-query detection.
-    /// Lock-free on the ring; the capture buffer mutex is only touched
-    /// for queries already classified as slow.
+    /// Readers never block it; it waits only for another writer still
+    /// busy on the same slot (the ring wrapped meanwhile). The capture
+    /// buffer mutex is only touched for queries already classified as
+    /// slow.
     pub fn record(&self, ev: &QueryEvent) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         // lbq-check: allow(lossy-cast) — masked to ring capacity
         let slot = &self.slots[(ticket & self.mask) as usize];
-        slot.seq.store(2 * ticket + 1, Ordering::Release);
-        for (w, v) in slot.words.iter().zip(pack(ev)) {
-            w.store(v, Ordering::Relaxed);
+        if slot.claim(ticket) {
+            fence(Ordering::Release);
+            for (w, v) in slot.words.iter().zip(pack(ev)) {
+                w.store(v, Ordering::Relaxed);
+            }
+            slot.seq.store(2 * ticket + 2, Ordering::Release);
         }
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
 
         // Rolling slow threshold: recompute every few records once the
         // histogram is warm.
@@ -370,6 +411,9 @@ impl FlightRecorder {
             for (w, a) in words.iter_mut().zip(slot.words.iter()) {
                 *w = a.load(Ordering::Relaxed);
             }
+            // Orders the word loads before the re-check: a word written
+            // by a later claim implies the re-check sees its odd stamp.
+            fence(Ordering::Acquire);
             if slot.seq.load(Ordering::Acquire) != s1 {
                 continue; // torn: a writer got in between
             }

@@ -113,42 +113,20 @@ fn recorder_wraparound_under_concurrent_readers() {
     }
     let stats = rec.stats();
     assert_eq!(stats.total, THREADS * PER, "every record counted");
-    // At rest the ring holds one completed write per slot — but *which*
-    // one is racy by design: writers claim tickets before stamping, and
-    // two writers mapped to the same slot finish in either order, so a
-    // slot can legitimately retain a ticket one generation behind the
-    // newest. Assert only what the protocol guarantees: tickets are
-    // strictly increasing, none is newer than the slot's final-
-    // generation ticket, at most one lagging generation per concurrent
-    // writer, and every event is internally consistent.
+    // At rest each slot holds its final generation: a slot's writers
+    // take it one at a time, and one whose ticket is older than the
+    // slot's drops its record, so a stalled writer can never put an
+    // older record back over a newer one.
     let recent = rec.recent();
     assert_eq!(recent.len(), 128);
-    let mut lagging = 0u64;
-    let mut prev: Option<u64> = None;
     for (i, (ticket, ev)) in recent.iter().enumerate() {
-        let newest = THREADS * PER - 128 + i as u64;
-        assert!(
-            *ticket <= newest,
-            "slot holds ticket {ticket} from the future (newest {newest})"
+        assert_eq!(
+            *ticket,
+            THREADS * PER - 128 + i as u64,
+            "slot lags its final generation"
         );
-        if *ticket < newest {
-            lagging += 1;
-        }
-        if let Some(p) = prev {
-            assert!(*ticket > p, "tickets must be strictly increasing");
-        }
-        prev = Some(*ticket);
         assert_eq!(*ev, stamp(ev.query_id));
     }
-    // A stale slot needs a writer stalled inside `record` while the
-    // slot's newer writes completed, and the stale content must survive
-    // to the end of the run — one slot per stall episode. Twice the
-    // writer count is generous headroom for end-of-run double stalls.
-    assert!(
-        lagging <= 2 * THREADS,
-        "{lagging} slots lag their final generation — more than \
-         {THREADS} concurrent writers can plausibly explain"
-    );
     assert!(stats.threshold_ns > 0, "threshold armed after warmup");
 }
 

@@ -4,26 +4,41 @@
 //! implement `GlobalAlloc`; the workspace denies `unsafe_code` via a
 //! Cargo lint (a CLI `-D`), which this crate-level `allow` overrides
 //! for this test binary only. The shim lives here, in its own
-//! integration-test binary, so no other test's allocations interfere.
+//! integration-test binary. It counts per thread, so the tests the
+//! harness runs in parallel never count each other's allocations.
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialized and without
+    /// a destructor, so touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // Fails only while the thread tears down its locals: not counted.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,7 +55,7 @@ fn no_subscriber_path_allocates_nothing() {
         s.record("k", 1u64);
         lbq_obs::event("warmup-event");
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..1_000u64 {
         let mut s = lbq_obs::span("rtree-knn");
         s.record("k", i);
@@ -48,7 +63,7 @@ fn no_subscriber_path_allocates_nothing() {
         lbq_obs::event_with("tpnn-iteration", [("vertices", lbq_obs::Value::U64(i))]);
         drop(s);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -82,7 +97,7 @@ fn disabled_recording_paths_allocate_nothing() {
         heat.record(3, 1);
         let _ = lbq_obs::histogram("warmup-histogram");
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..1_000u64 {
         // The per-query instrumentation the serve hot path runs with
         // recording off — plus the primitives that stay allocation-free
@@ -95,7 +110,7 @@ fn disabled_recording_paths_allocate_nothing() {
         // Cached registry lookup (the TLS handle cache, post-warmup).
         let _ = lbq_obs::histogram("warmup-histogram");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
